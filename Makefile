@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test bench bench-scaling bench-record perf-smoke lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
+.PHONY: test bench bench-scaling bench-record perf-smoke perfbench lint verify sweep trace-smoke chaos-smoke chaos-harness-smoke serve-smoke stream-smoke profile obs-smoke all
 
 # Knobs for `make profile` (self-profiler tier/scheduler).
 PROFILE_TIER      ?= full
@@ -57,6 +57,18 @@ bench-record:
 perf-smoke:
 	REPRO_BENCH_PLACEMENT_TIER=smoke REPRO_BENCH_ENFORCE=1 \
 		$(PYTHON) -m pytest benchmarks/test_bench_scaling.py -q -s -k placement
+
+## Repository benchmark (perfbench/README.md): each of the four workloads
+## once on the held-out seed 1009, untraced; fails unless every result is
+## correct (digest matches its pin) with zero failed operations.
+perfbench:
+	@set -e; for w in gfs-replay gfs-storm chronus-replay gfs-whatif; do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1009 --seconds 30 --trace 0 \
+			| tail -n 1 | $(PYTHON) -c 'import json, sys; r = json.load(sys.stdin); \
+			ok = r["correct"] is True and r["failed"] == 0; \
+			print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); \
+			sys.exit(0 if ok else 1)' $$w; \
+	done
 
 ## Scenario sweep through the parallel experiment engine, e.g.
 ##   make sweep SCENARIO=spot_heavy WORKERS=8 SCALE=medium

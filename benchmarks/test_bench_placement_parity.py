@@ -46,9 +46,11 @@ from repro.workloads import get_scenario, scenario_names
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-#: Scheduler line-up: the four baselines, full GFS, and the random-
-#: preemption ablation (rng-stream parity).
-SCHEDULERS = ("chronus", "yarn-cs", "fgd", "lyra", "gfs", "gfs-p")
+#: Scheduler line-up: the four baselines, full GFS, the random-
+#: preemption ablation (rng-stream parity), and the two ablations that
+#: switch off PTS node scores (``gfs-s``: no co-location score,
+#: ``gfs-sp``: no eviction awareness or circuit breaker).
+SCHEDULERS = ("chronus", "yarn-cs", "fgd", "lyra", "gfs", "gfs-p", "gfs-s", "gfs-sp")
 
 #: Small but non-trivial replay scale, enough to hit the preemptive and
 #: fractional-pod paths in every scenario.

@@ -62,9 +62,9 @@ class OnlineForecaster(ABC):
 class SeasonalQuantileForecaster(OnlineForecaster):
     """Hour-of-week seasonal profile with empirical dispersion.
 
-    For every organization the forecaster keeps the mean and standard
-    deviation of demand per hour-of-week slot, blended with a trailing
-    short-term level so that recent shifts are tracked.  This is the
+    For every requested hour the forecaster takes the mean and standard
+    deviation of past demand in the same hour-of-week slot, blended with a
+    trailing short-term level so that recent shifts are tracked.  This is the
     default GDE predictor inside simulations: probabilistic, adaptive and
     cheap enough to query at every quota update.
     """
@@ -77,31 +77,21 @@ class SeasonalQuantileForecaster(OnlineForecaster):
         self.recent_hours = recent_hours
         self.blend = blend
 
-    def _slot_stats(self, org: str) -> Tuple[np.ndarray, np.ndarray]:
-        series = np.asarray(self.history.get(org, []), dtype=float)
-        means = np.zeros(self.period)
-        stds = np.zeros(self.period)
-        if series.size == 0:
-            return means, stds
-        for slot in range(self.period):
-            values = series[slot :: self.period] if slot < series.size else series[-1:]
-            if values.size == 0:
-                values = series[-1:]
-            means[slot] = float(values.mean())
-            stds[slot] = float(values.std()) if values.size > 1 else float(series.std())
-        return means, stds
-
     def predict(self, org: str, start_hour: int, horizon: int) -> Tuple[np.ndarray, np.ndarray]:
         series = np.asarray(self.history.get(org, []), dtype=float)
         if series.size == 0:
             return np.zeros(horizon), np.ones(horizon)
-        means, stds = self._slot_stats(org)
-        recent = series[-self.recent_hours :]
-        recent_level = float(recent.mean())
-        slots = [(start_hour + h) % self.period for h in range(horizon)]
-        seasonal = means[slots]
+        # Only the requested hour-of-week slots: a quota tick asks for one.
+        seasonal = np.zeros(horizon)
+        stds = np.zeros(horizon)
+        for h in range(horizon):
+            slot = (start_hour + h) % self.period
+            values = series[slot :: self.period] if slot < series.size else series[-1:]
+            seasonal[h] = float(values.mean())
+            stds[h] = float(values.std()) if values.size > 1 else float(series.std())
+        recent_level = float(series[-self.recent_hours :].mean())
         mu = (1.0 - self.blend) * seasonal + self.blend * recent_level
-        sigma = np.maximum(stds[slots], 1e-3)
+        sigma = np.maximum(stds, 1e-3)
         return mu, sigma
 
 

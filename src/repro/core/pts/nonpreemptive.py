@@ -16,11 +16,17 @@ during the task's own greedy loop, so the restriction is exact.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...cluster import Node, PodPlacement, Task
 from ...schedulers.placement import NodeView, PlacementContext
-from .scoring import ScoringConfig, circuit_breaker_active, score_tuple
+from .scoring import (
+    ScoringConfig,
+    colocation_score,
+    eviction_score,
+    packing_score,
+    weighted_eviction_rate,
+)
 
 
 def non_preemptive_placement(
@@ -55,35 +61,32 @@ def non_preemptive_placement(
     if not view_map:
         return None
 
+    # Score2, Score3 and the circuit breaker read only node state and ``now``,
+    # which virtual pod assignment never changes: rate each node once.  A
+    # spot task's Score3 is zero exactly when the breaker blacklists the node.
+    whole_gpus = task.gpus_per_pod >= 1.0
+    rated: List[Tuple[NodeView, float, float]] = []
+    for view in view_map.values():
+        s3 = 0.0
+        if use_eviction_awareness:
+            s3 = eviction_score(weighted_eviction_rate(view.node, now, config), task, config)
+            if task.is_spot and whole_gpus and s3 <= 0.0:
+                continue
+        s2 = colocation_score(view.node, task) if use_colocation else 0.0
+        rated.append((view, s2, s3))
+
     placements: List[PodPlacement] = []
     for _ in range(task.num_pods):
-        feasible: List[NodeView] = []
-        for view in view_map.values():
-            if not view.can_fit_pod(task.gpus_per_pod):
-                continue
-            if (
-                task.is_spot
-                and use_eviction_awareness
-                and task.gpus_per_pod >= 1.0
-                and circuit_breaker_active(view.node, now, config)
-            ):
-                continue
-            feasible.append(view)
+        feasible = [entry for entry in rated if entry[0].can_fit_pod(task.gpus_per_pod)]
         if not feasible:
             return None
-        chosen = max(
+        chosen, _, _ = max(
             feasible,
-            key=lambda v: (
-                score_tuple(
-                    v.node,
-                    v.idle_gpus if task.gpus_per_pod >= 1.0 else v.free_capacity,
-                    task,
-                    now,
-                    config,
-                    use_colocation=use_colocation,
-                    use_eviction_awareness=use_eviction_awareness,
-                ),
-                v.node.node_id,
+            key=lambda e: (
+                packing_score(e[0].node, e[0].idle_gpus if whole_gpus else e[0].free_capacity),
+                e[1],
+                e[2],
+                e[0].node.node_id,
             ),
         )
         chosen.assign_pod(task.gpus_per_pod)

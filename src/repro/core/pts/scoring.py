@@ -55,13 +55,17 @@ def weighted_eviction_rate(node: Node, now: float, config: ScoringConfig) -> flo
     return config.gamma * short + (1.0 - config.gamma) * long / long_hours
 
 
-def eviction_awareness_score(node: Node, task: Task, now: float, config: ScoringConfig) -> float:
-    """Score 3 (Eq. 16) with asymmetric penalties for HP and spot tasks."""
-    e_bar = weighted_eviction_rate(node, now, config)
+def eviction_score(e_bar: float, task: Task, config: ScoringConfig) -> float:
+    """Score 3 (Eq. 16) of a node with weighted eviction rate ``e_bar``."""
     raw = 0.01 * config.penalty * e_bar
     if task.is_hp:
         return min(raw, 1.0)
     return max(1.0 - raw, 0.0)
+
+
+def eviction_awareness_score(node: Node, task: Task, now: float, config: ScoringConfig) -> float:
+    """Score 3 (Eq. 16) with asymmetric penalties for HP and spot tasks."""
+    return eviction_score(weighted_eviction_rate(node, now, config), task, config)
 
 
 def circuit_breaker_active(node: Node, now: float, config: ScoringConfig) -> bool:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gde import (
     GPUDemandEstimator,
@@ -65,6 +67,76 @@ class TestSeasonalQuantileForecaster:
         forecaster = SeasonalQuantileForecaster().fit({"o": np.array([1.0, 2.0, 3.0])})
         forecaster.observe("o", 1, 7.0)
         assert forecaster.history["o"][1] == 7.0
+
+
+def _reference_slot_stats(forecaster, org):
+    """Frozen copy of the former 168-slot builder behind ``predict``."""
+    series = np.asarray(forecaster.history.get(org, []), dtype=float)
+    means = np.zeros(forecaster.period)
+    stds = np.zeros(forecaster.period)
+    if series.size == 0:
+        return means, stds
+    for slot in range(forecaster.period):
+        values = series[slot :: forecaster.period] if slot < series.size else series[-1:]
+        if values.size == 0:
+            values = series[-1:]
+        means[slot] = float(values.mean())
+        stds[slot] = float(values.std()) if values.size > 1 else float(series.std())
+    return means, stds
+
+
+def _reference_predict(forecaster, org, start_hour, horizon):
+    """Frozen copy of the former ``SeasonalQuantileForecaster.predict``."""
+    series = np.asarray(forecaster.history.get(org, []), dtype=float)
+    if series.size == 0:
+        return np.zeros(horizon), np.ones(horizon)
+    means, stds = _reference_slot_stats(forecaster, org)
+    recent = series[-forecaster.recent_hours :]
+    recent_level = float(recent.mean())
+    slots = [(start_hour + h) % forecaster.period for h in range(horizon)]
+    seasonal = means[slots]
+    mu = (1.0 - forecaster.blend) * seasonal + forecaster.blend * recent_level
+    sigma = np.maximum(stds[slots], 1e-3)
+    return mu, sigma
+
+
+@st.composite
+def _seasonal_forecasters(draw):
+    """A fitted forecaster whose one series is shorter than, exactly, or
+    several times one period long, then edited by gap-filling and
+    overwriting ``observe`` calls."""
+    period = draw(st.sampled_from([168, 24]))
+    length = draw(st.one_of(st.integers(0, 400), st.sampled_from([1, period, 2 * period])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(["continuous", "integer", "constant"]))
+    if style == "continuous":
+        series = rng.gamma(2.0, 40.0, size=length)
+    elif style == "integer":
+        series = rng.integers(0, 6, size=length).astype(float)
+    else:
+        series = np.full(length, 7.0)
+    forecaster = SeasonalQuantileForecaster(
+        period=period, recent_hours=draw(st.sampled_from([0, 1, 12, 500]))
+    ).fit({"o": series})
+    edits = st.tuples(st.integers(0, 450), st.floats(0.0, 1e4, allow_nan=False))
+    for hour, value in draw(st.lists(edits, max_size=5)):
+        forecaster.observe("o", hour, value)
+    return forecaster
+
+
+class TestSeasonalQuantileReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        forecaster=_seasonal_forecasters(),
+        org=st.sampled_from(["o", "ghost"]),
+        start_hour=st.integers(-500, 5000),
+        horizon=st.integers(1, 200),
+    )
+    def test_predict_matches_full_slot_profile(self, forecaster, org, start_hour, horizon):
+        mu, sigma = forecaster.predict(org, start_hour, horizon)
+        ref_mu, ref_sigma = _reference_predict(forecaster, org, start_hour, horizon)
+        assert mu.tobytes() == ref_mu.tobytes()
+        assert sigma.tobytes() == ref_sigma.tobytes()
 
 
 class TestPreviousWeekPeakForecaster:

@@ -118,6 +118,22 @@ class TestNonPreemptive:
         placements = non_preemptive_placement(build_task(TaskType.SPOT, gpus_per_pod=1.0), cluster.nodes, 200.0, config)
         assert placements[0].node_id != bad_node.node_id
 
+    def test_circuit_breaker_spares_fractional_spot_pods(self, cluster):
+        config = ScoringConfig(penalty=3.0)
+        bad_node = cluster.nodes[0]
+        for i in range(50):
+            bad_node.record_eviction(100.0 + i)
+        run_on(cluster, build_task(TaskType.SPOT, gpus_per_pod=7.0), 0)
+        fractional = build_task(TaskType.SPOT, gpus_per_pod=0.5)
+        placements = non_preemptive_placement(fractional, cluster.nodes, 200.0, config)
+        assert placements[0].node_id == bad_node.node_id  # packing wins, no breaker
+
+    def test_packing_follows_earlier_pods_of_the_same_task(self, cluster):
+        placements = non_preemptive_placement(
+            build_task(TaskType.HP, num_pods=2, gpus_per_pod=4.0), cluster.nodes, 0.0, ScoringConfig()
+        )
+        assert placements[0].node_id == placements[1].node_id
+
 
 class TestPreemptive:
     def test_preempts_cheapest_victims(self, cluster):

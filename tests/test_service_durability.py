@@ -434,7 +434,7 @@ class TestRequestDeadline:
             client = AsyncServiceClient(server.host, server.port)
             try:
                 sid = (await client.create_session(**PARAMS))["session_id"]
-                await client.submit(sid, _wave("slow", 80))
+                await client.submit(sid, _wave("slow", 400))
                 with pytest.raises(ServiceError) as err:
                     await client.advance(sid)  # full run: ~0.7s >> 150ms
                 assert err.value.status == 504
@@ -454,7 +454,7 @@ class TestRequestDeadline:
                         break
                     await asyncio.sleep(0.05)
                 assert status is not None and status["done"]
-                assert status["submitted_tasks"] == 80
+                assert status["submitted_tasks"] == 400
             finally:
                 await client.close()
 
